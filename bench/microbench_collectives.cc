@@ -3,10 +3,13 @@
 // fitting — the costs a user of this library actually pays on the host.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
-
+#include <thread>
 #include <vector>
 
+#include "comm/async.h"
 #include "comm/collectives.h"
 #include "comm/worker_group.h"
 #include "core/trainer.h"
@@ -61,6 +64,81 @@ void BM_TreeAllReduceThreaded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeAllReduceThreaded)->Arg(1024)->Arg(65536);
+
+// Steady-state latency of one 4 KiB collective on persistent engines, the
+// way DistOptim drives them: each rank thread owns a long-lived CommEngine
+// and submits + waits back to back. Rank 0 times every op after a warm-up;
+// p50/p90 go out as counters (µs). The *Threaded benches above start and
+// join threads inside every iteration, which buries the per-handoff wake
+// cost this one isolates — and hides whether waiting threads that spin
+// hurt once ranks outnumber cores.
+//   microbench_collectives --benchmark_filter=PersistentEngine
+// Args: world, op (0 = RS+AG pair, 1 = all-reduce).
+void BM_PersistentEngineLatency(benchmark::State& state) {
+  const int world = static_cast<int>(state.range(0));
+  const bool pair = state.range(1) == 0;
+  constexpr std::size_t kElems = 1024;  // 4 KiB of fp32
+  constexpr int kWarmup = 50;
+  constexpr int kTimedOps = 400;
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> lat_us;
+  bool failed = false;
+  for (auto _ : state) {
+    comm::TransportHub hub(world);
+    std::vector<double> samples;  // written by rank 0 only
+    std::vector<char> rank_failed(static_cast<std::size_t>(world), 0);
+    const auto start = Clock::now();
+    std::vector<std::thread> ranks;
+    for (int r = 0; r < world; ++r) {
+      ranks.emplace_back([&, r] {
+        comm::CommEngine engine(comm::Communicator(&hub, r));
+        std::vector<float> buf(kElems, 1.0f);
+        bool ok = true;
+        for (int i = 0; i < kWarmup + kTimedOps; ++i) {
+          const auto t0 = Clock::now();
+          if (pair) {
+            ok &= engine.SubmitReduceScatter(buf, comm::ReduceOp::kAvg)
+                      .Wait()
+                      .ok();
+            ok &= engine.SubmitAllGather(buf).Wait().ok();
+          } else {
+            ok &= engine.SubmitAllReduce(buf, comm::ReduceOp::kAvg)
+                      .Wait()
+                      .ok();
+          }
+          if (r == 0 && i >= kWarmup) {
+            samples.push_back(
+                std::chrono::duration<double, std::micro>(Clock::now() - t0)
+                    .count());
+          }
+        }
+        rank_failed[static_cast<std::size_t>(r)] = ok ? 0 : 1;
+      });
+    }
+    for (auto& t : ranks) t.join();
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - start).count());
+    failed |= std::any_of(rank_failed.begin(), rank_failed.end(),
+                          [](char f) { return f != 0; });
+    lat_us.insert(lat_us.end(), samples.begin(), samples.end());
+  }
+  if (failed || lat_us.empty()) {
+    state.SkipWithError("collective failed");
+    return;
+  }
+  std::sort(lat_us.begin(), lat_us.end());
+  const auto at = [&](double q) {
+    return lat_us[static_cast<std::size_t>(q * (lat_us.size() - 1))];
+  };
+  state.counters["p50_us"] = at(0.5);
+  state.counters["p90_us"] = at(0.9);
+}
+BENCHMARK(BM_PersistentEngineLatency)
+    ->ArgsProduct({{2, 8, 16}, {0, 1}})
+    ->ArgNames({"world", "op"})
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead on the real runtime: Arg(0) = hooks compiled in but
 // session disabled (one relaxed atomic load per hook), Arg(1) = full

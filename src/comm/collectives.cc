@@ -79,7 +79,7 @@ Status RingReduceScatterOver(Communicator& comm,
 
     if (!comm.Send(right, tag, data.subspan(sr.begin, sr.size())))
       return Status::Unavailable("send failed: transport shut down");
-    auto msg = comm.Recv(left, tag);
+    auto msg = comm.Recv(left, tag, rr.size());
     if (!msg.ok()) return msg.status();
     const auto acc = data.subspan(rr.begin, rr.size());
     if (avg && s == p - 2)
@@ -126,7 +126,7 @@ Status RingAllGatherOver(Communicator& comm, const std::vector<Rank>& members,
 
     if (!comm.Send(right, tag, data.subspan(sr.begin, sr.size())))
       return Status::Unavailable("send failed: transport shut down");
-    auto msg = comm.Recv(left, tag);
+    auto msg = comm.Recv(left, tag, rr.size());
     if (!msg.ok()) return msg.status();
     kernels::UnpackInto(data.subspan(rr.begin, rr.size()), msg->payload);
   }
@@ -194,7 +194,7 @@ Status TreeReduce(Communicator& comm, std::span<float> data, Rank root,
       const std::uint32_t tag =
           MakeTag(kTagTreeReduce, static_cast<std::uint32_t>(mask),
                   static_cast<std::uint32_t>((rel + mask) & tags::kChunkMask));
-      auto msg = comm.Recv(src, tag);
+      auto msg = comm.Recv(src, tag, data.size());
       if (!msg.ok()) return msg.status();
       kernels::ReduceInto(op == ReduceOp::kAvg ? ReduceOp::kSum : op, data,
                           msg->payload);
@@ -222,7 +222,7 @@ Status TreeBroadcast(Communicator& comm, std::span<float> data, Rank root) {
       const std::uint32_t tag =
           MakeTag(kTagTreeBcast, static_cast<std::uint32_t>(mask),
                   static_cast<std::uint32_t>(rel & tags::kChunkMask));
-      auto msg = comm.Recv(src, tag);
+      auto msg = comm.Recv(src, tag, data.size());
       if (!msg.ok()) return msg.status();
       kernels::UnpackInto(data, msg->payload);
       break;
@@ -295,7 +295,7 @@ Status HierarchicalReduceScatter(Communicator& comm, std::span<float> data,
       const std::uint32_t tag =
           MakeTag(kTagTreeReduce, static_cast<std::uint32_t>(mask),
                   static_cast<std::uint32_t>(src & tags::kChunkMask));
-      auto msg = comm.Recv(src, tag);
+      auto msg = comm.Recv(src, tag, data.size());
       if (!msg.ok()) return msg.status();
       kernels::ReduceInto(sum_op, data, msg->payload);
     }
@@ -345,7 +345,7 @@ Status HierarchicalAllGather(Communicator& comm, std::span<float> data,
       const std::uint32_t tag =
           MakeTag(kTagTreeBcast, static_cast<std::uint32_t>(mask),
                   static_cast<std::uint32_t>(comm.rank() & tags::kChunkMask));
-      auto msg = comm.Recv(src, tag);
+      auto msg = comm.Recv(src, tag, data.size());
       if (!msg.ok()) return msg.status();
       kernels::UnpackInto(data, msg->payload);
       break;
@@ -437,7 +437,7 @@ Status RecursiveHalvingReduceScatter(Communicator& comm,
     const std::size_t give_hi = level.upper ? level.mid : level.hi;
     if (!comm.Send(partner, tag, data.subspan(give_lo, give_hi - give_lo)))
       return Status::Unavailable("send failed: transport shut down");
-    auto msg = comm.Recv(partner, tag);
+    auto msg = comm.Recv(partner, tag, keep_hi - keep_lo);
     if (!msg.ok()) return msg.status();
     const auto keep = data.subspan(keep_lo, keep_hi - keep_lo);
     if (avg && s + 1 == levels.size())
@@ -480,10 +480,8 @@ Status RecursiveDoublingAllGather(Communicator& comm, std::span<float> data) {
     const std::size_t want_hi = level.upper ? level.mid : level.hi;
     if (!comm.Send(partner, tag, data.subspan(have_lo, have_hi - have_lo)))
       return Status::Unavailable("send failed: transport shut down");
-    auto msg = comm.Recv(partner, tag);
+    auto msg = comm.Recv(partner, tag, want_hi - want_lo);
     if (!msg.ok()) return msg.status();
-    if (msg->payload.size() != want_hi - want_lo)
-      return Status::Internal("recursive doubling size mismatch");
     kernels::UnpackInto(data.subspan(want_lo, want_hi - want_lo),
                         msg->payload);
   }
@@ -625,7 +623,7 @@ Status AllToAll(Communicator& comm, std::span<float> data) {
     if (!comm.Send(dst, tag,
                    snapshot.subspan(static_cast<std::size_t>(dst) * n, n)))
       return Status::Unavailable("send failed: transport shut down");
-    auto msg = comm.Recv(src, tag);
+    auto msg = comm.Recv(src, tag, n);
     if (!msg.ok()) return msg.status();
     kernels::UnpackInto(data.subspan(static_cast<std::size_t>(src) * n, n),
                         msg->payload);

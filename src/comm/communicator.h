@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "comm/transport.h"
@@ -92,6 +93,20 @@ class Communicator {
   /// Blocking receive from logical rank `src` with tag verification.
   StatusOr<Message> Recv(Rank src, std::uint32_t tag) {
     return hub_->Recv(Physical(src), global_rank_, tag, epoch_);
+  }
+
+  /// Recv that also requires the payload to hold `elems` elements. A peer
+  /// that sent another count has diverged (a re-bucketing bug, or an
+  /// injected kShrink fault); the collective then fails with Internal
+  /// instead of aborting inside a reduce or unpack kernel.
+  StatusOr<Message> Recv(Rank src, std::uint32_t tag, std::size_t elems) {
+    auto msg = Recv(src, tag);
+    if (msg.ok() && msg->payload.size() != elems) {
+      return Status::Internal("payload size mismatch: expected " +
+                              std::to_string(elems) + " elements, got " +
+                              std::to_string(msg->payload.size()));
+    }
+    return msg;
   }
 
   [[nodiscard]] TransportHub* hub() const noexcept { return hub_; }

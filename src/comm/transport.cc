@@ -77,13 +77,8 @@ bool TransportHub::Send(Rank src, Rank dst, std::uint32_t tag,
   if (!data.empty()) {
     // Convert-on-pack: one pass from the fp32 source straight into the
     // pooled slab — for 2-byte dtypes this is where the downconvert
-    // happens, replacing DistOptim's old separate quantize sweep. The
-    // hook, when set, substitutes a custom quantizer/sparsifier while
-    // keeping the zero-copy write-into-slab shape.
-    if (pack_hook_)
-      pack_hook_(dtype, data, msg.payload);
-    else
-      kernels::Pack(dtype, msg.payload.wire_data(), data);
+    // happens, replacing DistOptim's old separate quantize sweep.
+    kernels::Pack(dtype, msg.payload.wire_data(), data);
   }
   return Send(src, dst, std::move(msg));
 }
@@ -108,13 +103,23 @@ StatusOr<Message> TransportHub::Recv(Rank src, Rank dst,
       // polling: every epoch transition cycles the channels, so a waiter
       // is always woken (kClosed) when its op is doomed.
       const auto deadline = std::chrono::nanoseconds(m->deadline_ns());
+      Channel<Message>& channel = ChannelFor(src, dst);
       for (;;) {
+        // Read the close generation before the epoch: a trip turns the
+        // epoch before it closes the channels, so either this check sees
+        // the new epoch or RecvFor sees the close. Read after the check,
+        // a trip landing in between would leave this receiver asleep
+        // until its liveness deadline, waiting for a message the trip's
+        // drain already discarded — or, if the peer had already re-formed,
+        // taking and rejecting that peer's first message of the new epoch,
+        // which deadlocks the peer's re-form barrier.
+        const std::uint64_t gen = channel.close_generation();
         if (m->enforce_epoch() && m->epoch() != epoch) {
           return Status::Unavailable(
               "membership epoch moved past this collective");
         }
         RecvOutcome outcome = RecvOutcome::kClosed;
-        msg = ChannelFor(src, dst).RecvFor(deadline, &outcome);
+        msg = channel.RecvFor(deadline, gen, &outcome);
         if (outcome == RecvOutcome::kItem) {
           m->NoteActivity(src);
           if (msg->epoch == epoch || !m->enforce_epoch()) break;

@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -97,17 +96,6 @@ class TransportHub {
             std::span<const float> data, std::uint32_t epoch = 0,
             DType dtype = DType::kF32);
 
-  /// Optional transform on the pack path (the §VI-D quantize/sparsify
-  /// hook point): when set, it runs *instead of* the default
-  /// convert-on-pack kernel and must write all data.size() elements of
-  /// the wire encoding into `payload` (already acquired at the right
-  /// dtype/size — zero-copy is preserved because the hook writes the
-  /// slab directly). Set or clear only while the hub is quiescent (no
-  /// concurrent sends); pass nullptr to restore the default kernel.
-  using PackHook = std::function<void(
-      DType dtype, std::span<const float> data, PooledBuffer& payload)>;
-  void SetPackHook(PackHook hook) { pack_hook_ = std::move(hook); }
-
   /// Blocks for the next message on the (src, dst) channel; verifies the tag
   /// matches `expected_tag`. Returns Unavailable after Shutdown().
   ///
@@ -156,7 +144,6 @@ class TransportHub {
 
   int size_;
   BufferPool pool_;
-  PackHook pack_hook_;
   std::vector<std::unique_ptr<Channel<Message>>> channels_;  // size*size
   std::atomic<Membership*> membership_{nullptr};
   std::atomic<std::uint64_t> stale_drops_{0};

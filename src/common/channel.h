@@ -15,8 +15,16 @@
 //
 // Close semantics follow Go channels: Send on a closed channel fails,
 // Recv drains remaining items and then reports closed.
+//
+// Waits spin before they park (common/spin_wait.h): the item count, the
+// closed flag and the close generation are atomics, written only under
+// the mutex, so a receiver can poll the wake condition without the lock
+// for a few microseconds before falling back to the condvar. The value
+// handoff itself always happens under the mutex.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -27,6 +35,7 @@
 #include <vector>
 
 #include "common/schedule_point.h"
+#include "common/spin_wait.h"
 
 namespace dear {
 
@@ -49,10 +58,11 @@ class Channel {
     schedpoint::Point(schedpoint::Site::kChannelSend);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return false;
-      if (count_ == buffer_.size()) GrowLocked();
-      buffer_[(head_ + count_) & (buffer_.size() - 1)] = std::move(item);
-      ++count_;
+      if (closed_.load(std::memory_order_relaxed)) return false;
+      const std::size_t count = count_.load(std::memory_order_relaxed);
+      if (count == buffer_.size()) GrowLocked();
+      buffer_[(head_ + count) & (buffer_.size() - 1)] = std::move(item);
+      count_.store(count + 1, std::memory_order_release);
     }
     cv_.notify_one();
     return true;
@@ -67,11 +77,13 @@ class Channel {
     // Constructed before the lock so the block-exit hook (which may itself
     // wait on the schedlab controller) runs after the lock is released.
     schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv);
+    // Captured before spinning, so a Close anywhere in the spin or the
+    // park — even one already undone by Reopen — ends the wait.
+    const std::uint64_t gen = close_generation();
+    spin::SpinUntil([&] { return Wakeable(gen); });
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::uint64_t gen = close_gen_;
-    cv_.wait(lock,
-             [&] { return count_ > 0 || closed_ || close_gen_ != gen; });
-    if (count_ == 0) return std::nullopt;
+    cv_.wait(lock, [&] { return Wakeable(gen); });
+    if (count_.load(std::memory_order_relaxed) == 0) return std::nullopt;
     return PopLocked();
   }
 
@@ -79,15 +91,28 @@ class Channel {
   /// returns the item (*outcome = kItem); otherwise nullopt with *outcome
   /// telling closed-or-cycled apart from a plain timeout — the transport's
   /// failure detector treats only kTimeout as peer silence.
+  ///
+  /// `gen` is the close_generation() the caller read before deciding to
+  /// wait. A Close after that read ends the wait with kClosed, even if it
+  /// happened before this call, and leaves any queued item in place: the
+  /// caller's view is stale, and the item may belong to whoever waits
+  /// next. The transport reads `gen` before it checks the membership
+  /// epoch, so a receiver of a doomed epoch neither sleeps through the
+  /// epoch trip nor swallows the next epoch's first message.
   std::optional<T> RecvFor(std::chrono::nanoseconds timeout,
-                           RecvOutcome* outcome) {
+                           std::uint64_t gen, RecvOutcome* outcome) {
     schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv);
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    spin::SpinUntil([&] { return Wakeable(gen); },
+                    std::min(timeout, spin::kBudget));
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::uint64_t gen = close_gen_;
-    const bool ready = cv_.wait_for(lock, timeout, [&] {
-      return count_ > 0 || closed_ || close_gen_ != gen;
-    });
-    if (count_ > 0) {
+    const bool ready =
+        cv_.wait_until(lock, deadline, [&] { return Wakeable(gen); });
+    if (close_gen_.load(std::memory_order_relaxed) != gen) {
+      *outcome = RecvOutcome::kClosed;
+      return std::nullopt;
+    }
+    if (count_.load(std::memory_order_relaxed) > 0) {
       *outcome = RecvOutcome::kItem;
       return PopLocked();
     }
@@ -98,7 +123,7 @@ class Channel {
   /// Non-blocking receive.
   std::optional<T> TryRecv() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0) return std::nullopt;
+    if (count_.load(std::memory_order_relaxed) == 0) return std::nullopt;
     return PopLocked();
   }
 
@@ -106,8 +131,8 @@ class Channel {
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-      ++close_gen_;
+      closed_.store(true, std::memory_order_release);
+      close_gen_.fetch_add(1, std::memory_order_release);
     }
     cv_.notify_all();
   }
@@ -118,7 +143,7 @@ class Channel {
   void Reopen() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = false;
+      closed_.store(false, std::memory_order_release);
     }
     cv_.notify_all();
   }
@@ -128,33 +153,48 @@ class Channel {
   /// TransportHub::Shutdown.
   std::size_t Clear() {
     std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t dropped = count_;
-    while (count_ > 0) {
+    const std::size_t dropped = count_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < dropped; ++i) {
       buffer_[head_] = T{};
       head_ = (head_ + 1) & (buffer_.size() - 1);
-      --count_;
     }
+    count_.store(0, std::memory_order_release);
     return dropped;
   }
 
   [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
+    return closed_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
+    return count_.load(std::memory_order_acquire);
+  }
+
+  /// Number of Close calls so far. A receiver that reads it before some
+  /// check of its own and hands it to RecvFor cannot miss a Close that
+  /// lands in between.
+  [[nodiscard]] std::uint64_t close_generation() const {
+    return close_gen_.load(std::memory_order_acquire);
   }
 
  private:
   static constexpr std::size_t kInitialCapacity = 16;
 
+  /// The wait's wake condition, readable with or without the lock: an
+  /// item is queued, the channel is closed, or it was closed (and maybe
+  /// reopened) since the waiter read generation `gen`.
+  [[nodiscard]] bool Wakeable(std::uint64_t gen) const {
+    return count_.load(std::memory_order_acquire) > 0 ||
+           closed_.load(std::memory_order_acquire) ||
+           close_gen_.load(std::memory_order_acquire) != gen;
+  }
+
   /// Doubles the ring (called full), re-packing live items from slot 0.
   void GrowLocked() {
     const std::size_t cap = buffer_.size();
+    const std::size_t count = count_.load(std::memory_order_relaxed);
     std::vector<T> next(cap == 0 ? kInitialCapacity : cap * 2);
-    for (std::size_t i = 0; i < count_; ++i)
+    for (std::size_t i = 0; i < count; ++i)
       next[i] = std::move(buffer_[(head_ + i) & (cap - 1)]);
     buffer_ = std::move(next);
     head_ = 0;
@@ -165,7 +205,8 @@ class Channel {
   T PopLocked() {
     T item = std::move(buffer_[head_]);
     head_ = (head_ + 1) & (buffer_.size() - 1);
-    --count_;
+    count_.store(count_.load(std::memory_order_relaxed) - 1,
+                 std::memory_order_release);
     return item;
   }
 
@@ -173,9 +214,11 @@ class Channel {
   std::condition_variable cv_;
   std::vector<T> buffer_;  // power-of-two ring; [head_, head_+count_) live
   std::size_t head_{0};
-  std::size_t count_{0};
-  bool closed_{false};
-  std::uint64_t close_gen_{0};  // bumped by Close; wakes pre-Close waiters
+  // Written only under mutex_; atomic so spinning waiters can read them.
+  std::atomic<std::size_t> count_{0};
+  std::atomic<bool> closed_{false};
+  std::atomic<std::uint64_t> close_gen_{0};  // bumped by Close; wakes
+                                             // pre-Close waiters
 };
 
 }  // namespace dear

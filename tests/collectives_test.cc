@@ -716,6 +716,31 @@ TEST(ShutdownRaceTest, RingAllReduceWithAbsentRankAllUnavailable) {
   }
 }
 
+// A peer whose buffer size diverged (a re-bucketing bug, or dearcheck's
+// injected kShrink fault) makes the collective fail with Internal; it must
+// not reach the reduce or unpack kernel, whose size check aborts.
+TEST(FaultInjectionTest, MismatchedPeerSizeFailsInsteadOfAborting) {
+  for (const bool reduce : {true, false}) {
+    TransportHub hub(2);
+    std::vector<Status> statuses(2, Status::Ok());
+    std::vector<std::thread> workers;
+    for (int r = 0; r < 2; ++r) {
+      workers.emplace_back([&, r] {
+        Communicator comm(&hub, r);
+        std::vector<float> data(r == 0 ? 16 : 8, 1.0f);
+        statuses[static_cast<std::size_t>(r)] =
+            reduce ? RingReduceScatter(comm, data) : RingAllGather(comm, data);
+      });
+    }
+    for (auto& w : workers) w.join();
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_EQ(statuses[static_cast<std::size_t>(r)].code(),
+                StatusCode::kInternal)
+          << (reduce ? "reduce-scatter" : "all-gather") << " rank " << r;
+    }
+  }
+}
+
 TEST(CollectivesTest, NamesAreHuman) {
   EXPECT_EQ(AlgorithmName(Algorithm::kRing), "ring");
   EXPECT_EQ(AlgorithmName(Algorithm::kDoubleBinaryTree),

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "check/checker.h"
@@ -14,6 +18,8 @@
 #include "comm/transport.h"
 #include "comm/types.h"
 #include "core/elastic.h"
+#include "common/schedule_point.h"
+#include "recording_hook.h"
 #include "schedlab/chaos.h"
 
 namespace {
@@ -112,6 +118,117 @@ TEST(Membership, TimeoutDetectorSuspectsSilentPeer) {
   ASSERT_GE(log.size(), 1u);
   EXPECT_EQ(log[0].kind, TransitionKind::kSuspect);
   EXPECT_EQ(log[0].subject, 1);
+}
+
+/// Parks the thread that called PauseThisThread at its next channel wait
+/// (the kChannelRecv block-enter inside Channel::RecvFor) until Release.
+/// TransportHub::Recv has checked the membership epoch by then, so this
+/// pins the interleaving where an epoch trip lands between that check and
+/// the wait.
+class PauseAtChannelWait : public dear::schedpoint::Hook {
+ public:
+  void PauseThisThread() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    target_ = std::this_thread::get_id();
+  }
+  void WaitPaused() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return paused_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  void OnWorkerBegin(const char*, int) override {}
+  void OnWorkerEnd() override {}
+  void OnPoint(dear::schedpoint::Site) override {}
+  void OnBlockEnter(dear::schedpoint::Site site) override {
+    if (site != dear::schedpoint::Site::kChannelRecv) return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (paused_ || std::this_thread::get_id() != target_) return;
+    paused_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+  void OnBlockExit(dear::schedpoint::Site) override {}
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::thread::id target_;
+  bool paused_{false};
+  bool released_{false};
+};
+
+/// Rank 0 receives from rank 2 at epoch 0; the pinned trip (rank 1
+/// suspected) lands after Recv's epoch check. With `peer_reformed`, rank 2
+/// has already re-formed and sent its first epoch-1 message by the time
+/// rank 0 reaches the wait. Returns rank 0's Recv status.
+dear::Status RecvAcrossPinnedTrip(TransportHub& hub, Membership& m,
+                                  bool peer_reformed) {
+  PauseAtChannelWait hook;
+  dear::testenv::ScopedHook scoped(&hook);
+  dear::Status status;
+  std::thread receiver([&] {
+    hook.PauseThisThread();
+    status = hub.Recv(/*src=*/2, /*dst=*/0, /*expected_tag=*/5, /*epoch=*/0)
+                 .status();
+  });
+  hook.WaitPaused();
+  EXPECT_TRUE(m.Suspect(1, "test", 1));
+  if (peer_reformed) {
+    const std::vector<float> payload{1.0f};
+    EXPECT_TRUE(hub.Send(2, 0, /*tag=*/5, payload, /*epoch=*/1));
+  }
+  hook.Release();
+  receiver.join();
+  return status;
+}
+
+/// Membership options whose liveness deadline (~2 s, scaled by
+/// DEAR_TIMEOUT_MULT) turns a missed trip wakeup into a prompt test
+/// failure rather than a long hang.
+MembershipOptions ShortDetector() {
+  MembershipOptions options;
+  options.deadline_mult = 40.0;
+  return options;
+}
+
+// Regression: an epoch trip between TransportHub::Recv's epoch check and
+// its channel wait used to go unnoticed — the wait began after the
+// close/reopen cycle, so the doomed receiver slept to its liveness
+// deadline and then suspected an innocent peer. This is what hung
+// golden_epoch_test, about once in ten runs under load.
+TEST(Membership, TripBetweenEpochCheckAndWaitWakesReceiver) {
+  TransportHub hub(3);
+  Membership m(&hub, ShortDetector());
+  const auto t0 = std::chrono::steady_clock::now();
+  const dear::Status status = RecvAcrossPinnedTrip(hub, m, false);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(status.message(), "membership epoch moved past this collective");
+  EXPECT_LT(waited, std::chrono::nanoseconds(m.deadline_ns()));
+  // Only the pinned suspect + trip: no liveness suspicion followed.
+  EXPECT_EQ(m.transitions().size(), 2u);
+}
+
+// Same pinned trip, but the peer re-formed first: the doomed epoch-0
+// receiver must leave the peer's first epoch-1 message in the channel for
+// rank 0's own re-formed ring, instead of taking and rejecting it — that
+// lost message deadlocked the survivors' re-form barrier.
+TEST(Membership, DoomedReceiverLeavesNextEpochMessage) {
+  TransportHub hub(3);
+  Membership m(&hub, ShortDetector());
+  const dear::Status status = RecvAcrossPinnedTrip(hub, m, true);
+  EXPECT_EQ(status.message(), "membership epoch moved past this collective");
+  EXPECT_EQ(hub.stale_drops(), 0u);
+  auto msg = hub.Recv(/*src=*/2, /*dst=*/0, /*expected_tag=*/5, /*epoch=*/1);
+  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+  EXPECT_EQ(msg->epoch, 1u);
+  EXPECT_EQ(m.transitions().size(), 2u);
 }
 
 // ---- dearcheck epoch-machine self-checks: every detector the elastic
