@@ -128,7 +128,7 @@ int main() {
   const double ns_per_sample = Median(deltas);
 
   // 2 + 3. Wall time of the smallest collective the engines run, with
-  // the monitor armed end to end — the engine's Monitored() path charges
+  // the monitor armed end to end — the collective's CollectiveScope charges
   // exactly one hook per collective per rank.
   constexpr std::size_t kElems = 1024;  // 4 KiB
   const auto run_allreduce = [&](comm::TransportHub& hub) {

@@ -10,8 +10,8 @@
 // and the input the ROADMAP-2 topology-aware algorithm selector needs.
 //
 // Accumulation is Welford-style (centered second moments), so AddSample is
-// O(1), allocation-free, and numerically stable over long runs; the comm
-// engine calls it on every collective completion (see comm/calibration.h)
+// O(1), allocation-free, and numerically stable over long runs; every
+// shaped collective feeds it on completion (see comm/calibration.h)
 // under the same <1%-of-smallest-collective budget bench/doctor_overhead
 // enforces.
 #pragma once

@@ -314,8 +314,7 @@ AttributionReport AttributeIterations(const std::vector<TraceEvent>& events,
   for (const auto& w : windows) iters = std::min(iters, w.size());
   if (iters == std::numeric_limits<std::size_t>::max() || iters == 0) {
     report.iterations = 0;
-    for (int r = 0; r < world; ++r)
-      report.ranks.push_back({.rank = r});
+    for (int r = 0; r < world; ++r) report.ranks.emplace_back().rank = r;
     return report;
   }
   report.iterations = static_cast<int>(iters);

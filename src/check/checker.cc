@@ -16,12 +16,6 @@ double SecondsSince(Clock::time_point since, Clock::time_point now) {
   return std::chrono::duration<double>(now - since).count();
 }
 
-/// Depth of nested CollectiveGuard brackets on this thread. Only the
-/// outermost bracket reports, so composed collectives (the RS inside
-/// RingAllReduce, the leader ring inside the hierarchical pair) record one
-/// protocol-level ledger entry.
-thread_local int t_guard_depth = 0;
-
 /// Flight-recorder records appended to every diagnosis dump, per rank.
 constexpr std::size_t kDumpTailRecords = 8;
 
@@ -620,41 +614,6 @@ std::int64_t Checker::ledger_size(int rank) const {
   if (rank < 0 || rank >= world_size_) return 0;
   return static_cast<std::int64_t>(
       TotalOps(ledgers_[static_cast<std::size_t>(rank)]));
-}
-
-CollectiveGuard::CollectiveGuard(int rank, const char* kind,
-                                 std::size_t elems) noexcept
-    : outermost_(t_guard_depth++ == 0), rank_(rank), kind_(kind) {
-  active_ = outermost_ && Checker::Get().enabled();
-  if (outermost_) {
-    // Always-on black box: journal the protocol-level bracket even with
-    // no checker session, so hang dumps name the in-flight collective.
-    flight_name_ =
-        flightrec::Recorder::Get().OnCollectiveBegin(rank, kind, elems);
-  }
-  if (active_) {
-    if (const auto* counter = Checker::Get().epoch_counter()) {
-      begin_epoch_ = counter->load(std::memory_order_acquire);
-      epoch_stamped_ = true;
-    }
-    Checker::Get().OnCollectiveBegin(rank, kind, elems);
-  }
-}
-
-CollectiveGuard::~CollectiveGuard() {
-  --t_guard_depth;
-  if (outermost_) flightrec::Recorder::Get().OnCollectiveEnd(rank_, flight_name_);
-  if (active_) {
-    Checker::Get().OnCollectiveEnd(rank_);
-    if (epoch_stamped_) {
-      if (const auto* counter = Checker::Get().epoch_counter()) {
-        const std::uint32_t end = counter->load(std::memory_order_acquire);
-        if (end != begin_epoch_) {
-          Checker::Get().OnCrossEpochOp(rank_, kind_, begin_epoch_, end);
-        }
-      }
-    }
-  }
 }
 
 ScopedRecvWait::ScopedRecvWait(int dst, int src,

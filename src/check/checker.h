@@ -10,7 +10,7 @@
 // *inside* one collective; this subsystem catches divergence *between*
 // collectives, and turns the remaining hangs into attributed diagnoses:
 //
-//  1. Protocol verifier: begin/end hooks in src/comm/collectives.cc record
+//  1. Protocol verifier: each collective's comm::CollectiveScope records
 //     a per-rank ledger of (kind, element count, sequence index). Because
 //     all ranks share one process, an online matcher compares each rank's
 //     ledger entry against the other ranks' entry at the same index the
@@ -121,8 +121,10 @@ class Checker {
   /// The collective ledger above matches on element counts, which are
   /// dtype-invariant: ranks disagreeing only on wire dtype still trip,
   /// because their per-message byte streams (and thus tags/ordering)
-  /// diverge at the transport layer, not here.
+  /// diverge at the transport layer, not here. Counts only inside an
+  /// enabled session, the report's only reader (Enable() resets them).
   void OnTransportSend(std::size_t bytes) noexcept {
+    if (!enabled()) return;
     sends_.fetch_add(1, std::memory_order_relaxed);
     send_bytes_.fetch_add(static_cast<std::int64_t>(bytes),
                           std::memory_order_relaxed);
@@ -136,7 +138,7 @@ class Checker {
   //
   // Three failure modes of the epoch protocol, each with its own detector:
   //  - a collective spanning an epoch boundary that was never quiesced
-  //    (OnCrossEpochOp, fed by CollectiveGuard's begin/end epoch stamps);
+  //    (OnCrossEpochOp, fed by comm::CollectiveScope's epoch stamps);
   //  - a stale-epoch message older than the bounded-staleness window, or
   //    from the future (OnStaleMessage, fed by TransportHub::Recv);
   //  - a survivor that skips an epoch it lived through (OnEpochObserved
@@ -144,7 +146,7 @@ class Checker {
 
   /// Registers the live membership epoch counter (nullptr detaches). Called
   /// by comm::Membership's ctor/dtor; independent of Enable() sessions so
-  /// CollectiveGuard can stamp epochs without a comm-layer dependency.
+  /// comm::CollectiveScope can stamp epochs without a Membership pointer.
   void SetEpochCounter(const std::atomic<std::uint32_t>* counter) noexcept {
     epoch_counter_.store(counter, std::memory_order_release);
   }
@@ -224,7 +226,7 @@ class Checker {
   Checker() = default;
 
   struct LedgerEntry {
-    std::string_view kind;  // static-storage literals from the call sites
+    std::string_view kind;  // static-storage names from comm::kinds
     std::size_t elems;
   };
   struct Current {
@@ -299,36 +301,8 @@ class Checker {
   bool watchdog_stop_{false};
 };
 
-// ---- RAII hook guards (single relaxed load when checking is off) ---------
-
-/// Top-level collective bracket for the blocking collectives. Nested
-/// collectives (the RS inside RingAllReduce, the leader ring inside the
-/// hierarchical pair) are suppressed by a per-thread depth counter, so the
-/// ledger records exactly the protocol-level operation sequence. The same
-/// outermost bracket also journals an always-on flight-recorder
-/// begin/end pair (the checker ledger needs an enabled session, the black
-/// box does not).
-class CollectiveGuard {
- public:
-  CollectiveGuard(int rank, const char* kind, std::size_t elems) noexcept;
-  ~CollectiveGuard();
-  CollectiveGuard(const CollectiveGuard&) = delete;
-  CollectiveGuard& operator=(const CollectiveGuard&) = delete;
-
- private:
-  bool active_;
-  bool outermost_;
-  int rank_;
-  std::uint16_t flight_name_{0};
-  const char* kind_;
-  // Membership epoch at construction (outermost brackets with a registered
-  // epoch counter only); the destructor reports a begin/end mismatch to the
-  // cross-epoch-op detector.
-  std::uint32_t begin_epoch_{0};
-  bool epoch_stamped_{false};
-};
-
-/// Wait-for-graph registration around a potentially blocking channel Recv.
+/// Wait-for-graph registration around a potentially blocking channel Recv
+/// (one relaxed load when checking is off).
 class ScopedRecvWait {
  public:
   ScopedRecvWait(int dst, int src, std::uint32_t expected_tag) noexcept;

@@ -1,13 +1,10 @@
 #include "comm/async.h"
 
-#include <cstdint>
 #include <optional>
 #include <utility>
 
 #include "check/checker.h"
-#include "comm/calibration.h"
 #include "common/schedule_point.h"
-#include "flightrec/recorder.h"
 
 namespace dear::comm {
 
@@ -86,9 +83,9 @@ CollectiveHandle CommEngine::SubmitRecursiveDoublingAllGather(
 
 Status CommEngine::Execute(const Request& req) {
   // The engine thread is the only caller of comm_'s collectives, so setting
-  // the wire dtype here (once per request, including the fault-injection
-  // paths that call Execute directly) is race-free and lets fp16 gradient
-  // requests interleave with fp32 control requests on one engine.
+  // the wire dtype here (once per request, on every loop path) is race-free
+  // and lets fp16 gradient requests interleave with fp32 control requests
+  // on one engine.
   comm_.set_wire_dtype(req.dtype);
   switch (req.kind) {
     case Kind::kReduceScatter:
@@ -111,50 +108,6 @@ Status CommEngine::Execute(const Request& req) {
       return RecursiveDoublingAllGather(comm_, req.data);
   }
   return Status::InvalidArgument("unknown request kind");
-}
-
-Status CommEngine::Monitored(const Request& req) {
-  CalibrationMonitor& monitor = CalibrationMonitor::Get();
-  if (!monitor.enabled()) return Execute(req);
-  analysis::CollectiveShape shape;
-  switch (req.kind) {
-    case Kind::kReduceScatter:
-      shape = analysis::CollectiveShape::kReduceScatter;
-      break;
-    case Kind::kAllGather:
-      shape = analysis::CollectiveShape::kAllGather;
-      break;
-    case Kind::kAllReduce:
-      shape = analysis::CollectiveShape::kRingAllReduce;
-      break;
-    case Kind::kBarrier:
-      shape = analysis::CollectiveShape::kBarrier;
-      break;
-    case Kind::kBroadcast:
-      shape = analysis::CollectiveShape::kTreeBroadcast;
-      break;
-    case Kind::kRecursiveRs:
-      shape = analysis::CollectiveShape::kRecursiveHalvingReduceScatter;
-      break;
-    case Kind::kRecursiveAg:
-      shape = analysis::CollectiveShape::kRecursiveDoublingAllGather;
-      break;
-    case Kind::kHierReduceScatter:
-    case Kind::kHierAllGather:
-      // No single Hockney line: the two-level coefficients depend on
-      // ranks_per_node, which the α–β fit does not model. Unmonitored.
-      return Execute(req);
-  }
-  const std::uint64_t t0 = flightrec::NowNs();
-  Status st = Execute(req);
-  const std::uint64_t t1 = flightrec::NowNs();
-  if (st.ok()) {
-    // Wire bytes, not fp32 buffer bytes: the α–β fit prices β per byte
-    // actually sent, which is what narrow-dtype payloads halve.
-    monitor.OnCollective(comm_.global_rank(), shape,
-                         req.data.size() * DTypeSize(req.dtype), t1 - t0);
-  }
-  return st;
 }
 
 void CommEngine::Complete(const Request& req, Status st) {
@@ -184,7 +137,7 @@ void CommEngine::Loop() {
     ++op_index;
     switch (fault) {
       case check::FaultKind::kNone:
-        Complete(*req, Monitored(*req));
+        Complete(*req, Execute(*req));
         break;
       case check::FaultKind::kSkip:
         // Complete the handle without running the collective: this rank

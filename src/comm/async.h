@@ -133,10 +133,6 @@ class CommEngine {
                           Rank root = 0, DType dtype = DType::kF32);
   /// Runs one request's collective synchronously on the loop thread.
   Status Execute(const Request& req);
-  /// Execute plus the CalibrationMonitor model-vs-measured hook: brackets
-  /// the collective with the flight-recorder clock and feeds (shape, bytes,
-  /// duration) to the monitor. One branch when the monitor is disabled.
-  Status Monitored(const Request& req);
   static void Complete(const Request& req, Status st);
   void Loop();
 

@@ -101,8 +101,8 @@ void CalibrationMonitor::OnCollective(int rank,
 
   // (2) EWMA straggler band on the raw duration: anomalous when the
   // measured time exceeds mean + k·deviation after warmup. Updated with
-  // plain load + store — this cell is only written by the rank's engine
-  // thread.
+  // plain load + store — this cell is only written by the rank's
+  // collective thread.
   const double w = opts_.ewma_weight;
   const double mean = c->ewma_mean_ns.load(std::memory_order_relaxed);
   const double dev = c->ewma_dev_ns.load(std::memory_order_relaxed);

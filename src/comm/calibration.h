@@ -1,8 +1,9 @@
 // CalibrationMonitor — closed-loop model-vs-measured observability for the
-// comm engine.
+// collectives.
 //
-// Every collective the engine completes is compared against the CostModel
-// prediction for its shape: the measured/predicted ratio feeds a
+// Every collective with an α–β shape that completes OK (fed by its
+// comm::CollectiveScope) is compared against the CostModel prediction for
+// its shape: the measured/predicted ratio feeds a
 // "comm.model.residual.<shape>" histogram and an EWMA divergence gauge
 // "comm.model.divergence.<shape>" (mean |ln ratio| — 0 when the Hockney
 // model matches reality, ~0.7 when off by 2x), the raw (bytes, seconds)
@@ -11,7 +12,7 @@
 // kAnomaly events — the straggler signal `dearsim doctor` reports.
 //
 // Hot-path contract: OnCollective is allocation-free and runs on the
-// engine loop thread once per *collective* (not per message), with
+// rank's collective thread once per *collective* (not per message), with
 // pre-resolved metric pointers and fixed per-(rank, shape) cells.
 // bench/doctor_overhead holds it under 1% of the smallest collective and
 // 0 allocations per sample, the same bar as the flight recorder.
@@ -66,8 +67,8 @@ class CalibrationMonitor {
   }
 
   /// Hot hook: rank's collective of `shape` moved `bytes` of payload in
-  /// `duration_ns`. Called by CommEngine on every completion; also safe to
-  /// call directly (tests, benches). No-op when disabled or out of range.
+  /// `duration_ns`. CollectiveScope calls it when a shaped collective
+  /// finishes OK; tests and benches may too. No-op when disabled/out of range.
   void OnCollective(int rank, analysis::CollectiveShape shape,
                     std::size_t bytes, std::uint64_t duration_ns) noexcept;
 
@@ -97,8 +98,8 @@ class CalibrationMonitor {
  private:
   CalibrationMonitor() = default;
 
-  // One (rank, shape) population. Only the rank's engine thread writes the
-  // EWMA fields, but doctor/profile threads read them while the run is
+  // One (rank, shape) population. Only the rank's collective thread writes
+  // the EWMA fields, but doctor/profile threads read them while the run is
   // live, so they are relaxed atomics (plain load + store, no RMW).
   struct Cell {
     std::atomic<std::uint64_t> count{0};

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 
-#include "check/checker.h"
+#include "comm/collective_scope.h"
 #include "comm/kernels.h"
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "telemetry/telemetry.h"
 
 namespace dear::comm {
 namespace {
@@ -147,33 +146,29 @@ std::vector<Rank> AllRanks(int p) {
 
 Status RingReduceScatter(Communicator& comm, std::span<float> data,
                          ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "reduce_scatter", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "ring_reduce_scatter", data.size());
+  CollectiveScope scope(comm, kinds::kRingReduceScatter, data.size());
   // Rank r sits at ring position r; kAvg normalization rides the final
   // round (avg_world) instead of a separate pass over the owned chunk.
-  return internal::RingReduceScatterOver(comm, AllRanks(comm.size()), data,
-                                         op, kTagReduceScatter, comm.rank(),
-                                         comm.size());
+  return scope.Finish(internal::RingReduceScatterOver(
+      comm, AllRanks(comm.size()), data, op, kTagReduceScatter, comm.rank(),
+      comm.size()));
 }
 
 Status RingAllGather(Communicator& comm, std::span<float> data) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_gather", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "ring_all_gather", data.size());
-  return internal::RingAllGatherOver(comm, AllRanks(comm.size()), data,
-                                     kTagAllGather, comm.rank());
+  CollectiveScope scope(comm, kinds::kRingAllGather, data.size());
+  return scope.Finish(internal::RingAllGatherOver(
+      comm, AllRanks(comm.size()), data, kTagAllGather, comm.rank()));
 }
 
 Status RingAllReduce(Communicator& comm, std::span<float> data, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "ring_all_reduce", data.size());
+  CollectiveScope scope(comm, kinds::kRingAllReduce, data.size());
   DEAR_RETURN_IF_ERROR(RingReduceScatter(comm, data, op));
-  return RingAllGather(comm, data);
+  return scope.Finish(RingAllGather(comm, data));
 }
 
 Status TreeReduce(Communicator& comm, std::span<float> data, Rank root,
                   ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "tree_reduce", data.size());
+  CollectiveScope scope(comm, kinds::kTreeReduce, data.size());
   const int p = comm.size();
   DEAR_CHECK(root >= 0 && root < p);
   const int rel = (comm.rank() - root + p) % p;
@@ -201,12 +196,11 @@ Status TreeReduce(Communicator& comm, std::span<float> data, Rank root,
     }
   }
   if (comm.rank() == root) ScaleForAvg(op, data, p);
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status TreeBroadcast(Communicator& comm, std::span<float> data, Rank root) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "broadcast", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "tree_broadcast", data.size());
+  CollectiveScope scope(comm, kinds::kTreeBroadcast, data.size());
   const int p = comm.size();
   DEAR_CHECK(root >= 0 && root < p);
   const int rel = (comm.rank() - root + p) % p;
@@ -241,20 +235,18 @@ Status TreeBroadcast(Communicator& comm, std::span<float> data, Rank root) {
     }
     mask >>= 1;
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status TreeAllReduce(Communicator& comm, std::span<float> data, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "tree_all_reduce", data.size());
+  CollectiveScope scope(comm, kinds::kTreeAllReduce, data.size());
   DEAR_RETURN_IF_ERROR(TreeReduce(comm, data, /*root=*/0, op));
-  return TreeBroadcast(comm, data, /*root=*/0);
+  return scope.Finish(TreeBroadcast(comm, data, /*root=*/0));
 }
 
 Status DoubleBinaryTreeAllReduce(Communicator& comm, std::span<float> data,
                                  ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "dbt_all_reduce", data.size());
+  CollectiveScope scope(comm, kinds::kDoubleBinaryTreeAllReduce, data.size());
   const int p = comm.size();
   const std::size_t half = data.size() / 2;
   auto a = data.subspan(0, half);
@@ -264,13 +256,12 @@ Status DoubleBinaryTreeAllReduce(Communicator& comm, std::span<float> data,
   DEAR_RETURN_IF_ERROR(TreeReduce(comm, a, /*root=*/0, op));
   DEAR_RETURN_IF_ERROR(TreeReduce(comm, b, /*root=*/p - 1, op));
   DEAR_RETURN_IF_ERROR(TreeBroadcast(comm, a, /*root=*/0));
-  return TreeBroadcast(comm, b, /*root=*/p - 1);
+  return scope.Finish(TreeBroadcast(comm, b, /*root=*/p - 1));
 }
 
 Status HierarchicalReduceScatter(Communicator& comm, std::span<float> data,
                                  int ranks_per_node, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "reduce_scatter", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "hier_reduce_scatter", data.size());
+  CollectiveScope scope(comm, kinds::kHierarchicalReduceScatter, data.size());
   const int p = comm.size();
   if (ranks_per_node <= 0 || p % ranks_per_node != 0)
     return Status::InvalidArgument("ranks_per_node must divide world size");
@@ -311,13 +302,12 @@ Status HierarchicalReduceScatter(Communicator& comm, std::span<float> data,
     DEAR_RETURN_IF_ERROR(internal::RingReduceScatterOver(
         comm, leaders, data, op, kTagHierLeaderRs, comm.rank() / rpn, p));
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status HierarchicalAllGather(Communicator& comm, std::span<float> data,
                              int ranks_per_node) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_gather", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "hier_all_gather", data.size());
+  CollectiveScope scope(comm, kinds::kHierarchicalAllGather, data.size());
   const int p = comm.size();
   if (ranks_per_node <= 0 || p % ranks_per_node != 0)
     return Status::InvalidArgument("ranks_per_node must divide world size");
@@ -364,16 +354,15 @@ Status HierarchicalAllGather(Communicator& comm, std::span<float> data,
     }
     mask >>= 1;
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status HierarchicalAllReduce(Communicator& comm, std::span<float> data,
                              int ranks_per_node, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "hier_all_reduce", data.size());
+  CollectiveScope scope(comm, kinds::kHierarchicalAllReduce, data.size());
   DEAR_RETURN_IF_ERROR(
       HierarchicalReduceScatter(comm, data, ranks_per_node, op));
-  return HierarchicalAllGather(comm, data, ranks_per_node);
+  return scope.Finish(HierarchicalAllGather(comm, data, ranks_per_node));
 }
 
 namespace {
@@ -412,13 +401,13 @@ bool IsPowerOfTwo(int p) { return p > 0 && (p & (p - 1)) == 0; }
 
 Status RecursiveHalvingReduceScatter(Communicator& comm,
                                      std::span<float> data, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "reduce_scatter", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "recursive_reduce_scatter", data.size());
+  CollectiveScope scope(comm, kinds::kRecursiveHalvingReduceScatter,
+                        data.size());
   const int p = comm.size();
   if (!IsPowerOfTwo(p))
     return Status::InvalidArgument(
         "recursive halving requires a power-of-two world size");
-  if (p == 1) return Status::Ok();  // avg over one rank is the identity
+  if (p == 1) return scope.Finish(Status::Ok());  // identity on one rank
   const auto levels = BuildHalvingPlan(comm.rank(), p, data.size());
   const ReduceOp sum_op = (op == ReduceOp::kAvg) ? ReduceOp::kSum : op;
   const bool avg = op == ReduceOp::kAvg;
@@ -445,17 +434,16 @@ Status RecursiveHalvingReduceScatter(Communicator& comm,
     else
       kernels::ReduceInto(sum_op, keep, msg->payload);
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status RecursiveDoublingAllGather(Communicator& comm, std::span<float> data) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_gather", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "recursive_all_gather", data.size());
+  CollectiveScope scope(comm, kinds::kRecursiveDoublingAllGather, data.size());
   const int p = comm.size();
   if (!IsPowerOfTwo(p))
     return Status::InvalidArgument(
         "recursive doubling requires a power-of-two world size");
-  if (p == 1) return Status::Ok();
+  if (p == 1) return scope.Finish(Status::Ok());
   const auto levels = BuildHalvingPlan(comm.rank(), p, data.size());
   // Lossy wire: the final owned range (the deepest level's keep half) is
   // the only data that never arrives over the wire — round the local copy
@@ -485,20 +473,19 @@ Status RecursiveDoublingAllGather(Communicator& comm, std::span<float> data) {
     kernels::UnpackInto(data.subspan(want_lo, want_hi - want_lo),
                         msg->payload);
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status RecursiveHalvingDoublingAllReduce(Communicator& comm,
                                          std::span<float> data, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "recursive_all_reduce", data.size());
+  CollectiveScope scope(comm, kinds::kRecursiveHalvingDoublingAllReduce,
+                        data.size());
   DEAR_RETURN_IF_ERROR(RecursiveHalvingReduceScatter(comm, data, op));
-  return RecursiveDoublingAllGather(comm, data);
+  return scope.Finish(RecursiveDoublingAllGather(comm, data));
 }
 
 Status Barrier(Communicator& comm) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "barrier", 0);
-  check::CollectiveGuard guard(comm.global_rank(), "barrier", 0);
+  CollectiveScope scope(comm, kinds::kBarrier, 0);
   const int p = comm.size();
   for (int round = 0, dist = 1; dist < p; ++round, dist <<= 1) {
     const Rank dst = (comm.rank() + dist) % p;
@@ -510,13 +497,12 @@ Status Barrier(Communicator& comm) {
     auto msg = comm.Recv(src, tag);
     if (!msg.ok()) return msg.status();
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status Gather(Communicator& comm, std::span<const float> data,
               std::vector<float>* out, Rank root) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "gather", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "gather", data.size());
+  CollectiveScope scope(comm, kinds::kGather, data.size());
   const int p = comm.size();
   DEAR_CHECK(root >= 0 && root < p && out != nullptr);
   const std::size_t n = data.size();
@@ -554,13 +540,12 @@ Status Gather(Communicator& comm, std::span<const float> data,
                    data))
       return Status::Unavailable("send failed: transport shut down");
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status Scatter(Communicator& comm, std::span<const float> in,
                std::vector<float>* out, Rank root) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "scatter", in.size());
-  check::CollectiveGuard guard(comm.global_rank(), "scatter", 0);
+  CollectiveScope scope(comm, kinds::kScatter, in.size());
   const int p = comm.size();
   DEAR_CHECK(root >= 0 && root < p && out != nullptr);
   if (comm.rank() == root) {
@@ -592,12 +577,11 @@ Status Scatter(Communicator& comm, std::span<const float> in,
     out->resize(msg->payload.size());
     kernels::UnpackInto(std::span<float>(*out), msg->payload);
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status AllToAll(Communicator& comm, std::span<float> data) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_to_all", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "all_to_all", data.size());
+  CollectiveScope scope(comm, kinds::kAllToAll, data.size());
   const int p = comm.size();
   if (data.size() % static_cast<std::size_t>(p) != 0)
     return Status::InvalidArgument(
@@ -628,13 +612,12 @@ Status AllToAll(Communicator& comm, std::span<float> data) {
     kernels::UnpackInto(data.subspan(static_cast<std::size_t>(src) * n, n),
                         msg->payload);
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status RingAllReduceSegmented(Communicator& comm, std::span<float> data,
                               std::size_t segment_bytes, ReduceOp op) {
-  telemetry::CollectiveTimer timer(comm.global_rank(), "all_reduce", data.size());
-  check::CollectiveGuard guard(comm.global_rank(), "ring_all_reduce_segmented", data.size());
+  CollectiveScope scope(comm, kinds::kRingAllReduceSegmented, data.size());
   if (segment_bytes < sizeof(float))
     return Status::InvalidArgument("segment must hold at least one element");
   const std::size_t seg_elems = segment_bytes / sizeof(float);
@@ -642,7 +625,7 @@ Status RingAllReduceSegmented(Communicator& comm, std::span<float> data,
     const std::size_t len = std::min(seg_elems, data.size() - off);
     DEAR_RETURN_IF_ERROR(RingAllReduce(comm, data.subspan(off, len), op));
   }
-  return Status::Ok();
+  return scope.Finish(Status::Ok());
 }
 
 Status AllReduce(Communicator& comm, std::span<float> data,

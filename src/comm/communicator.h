@@ -31,12 +31,7 @@ class Communicator {
       : hub_(hub),
         rank_(rank),
         global_rank_(rank),
-        size_(hub->size()),
-        // Full-ring neighbors, precomputed once: the ring collectives call
-        // these every round, and the old per-call PositionOf scan was O(P)
-        // per collective for what is a constant of the communicator.
-        ring_left_((rank + hub->size() - 1) % hub->size()),
-        ring_right_((rank + 1) % hub->size()) {}
+        size_(hub->size()) {}
 
   /// Group view: `group` is the sorted physical live set (shared so the
   /// by-value copies the engine takes stay cheap), `global_rank` a member
@@ -53,8 +48,6 @@ class Communicator {
     const auto it =
         std::lower_bound(group_->begin(), group_->end(), global_rank);
     rank_ = static_cast<Rank>(it - group_->begin());
-    ring_left_ = (rank_ + size_ - 1) % size_;
-    ring_right_ = (rank_ + 1) % size_;
   }
 
   /// Logical rank / size: position on the (possibly shrunken) ring.
@@ -64,10 +57,6 @@ class Communicator {
   /// (dearcheck, telemetry, flightrec) keys on.
   [[nodiscard]] Rank global_rank() const noexcept { return global_rank_; }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
-
-  /// Neighbors on the group ring (logical rank r sits at ring position r).
-  [[nodiscard]] Rank ring_left() const noexcept { return ring_left_; }
-  [[nodiscard]] Rank ring_right() const noexcept { return ring_right_; }
 
   /// Physical rank backing logical rank `r`.
   [[nodiscard]] Rank Physical(Rank r) const noexcept {
@@ -119,8 +108,6 @@ class Communicator {
   std::uint32_t epoch_{0};
   DType wire_dtype_{DType::kF32};
   std::shared_ptr<const std::vector<Rank>> group_;  // null = identity view
-  Rank ring_left_{0};
-  Rank ring_right_{0};
 };
 
 }  // namespace dear::comm

@@ -116,7 +116,7 @@ bool Membership::Suspect(Rank rank, const char* why, Rank detector) {
     epoch_.store(new_epoch, std::memory_order_release);
     LogTransitionLocked(new_epoch, TransitionKind::kSuspect, rank, detector);
     // kTrip is logged BEFORE the channels cycle so a doomed in-flight op
-    // whose CollectiveGuard unwinds across the bump finds the excusing
+    // whose CollectiveScope unwinds across the bump finds the excusing
     // trip already in dearcheck's transition log.
     LogTransitionLocked(new_epoch, TransitionKind::kTrip, -1, detector);
   }

@@ -186,12 +186,6 @@ class Membership {
   [[nodiscard]] bool enforce_epoch() const noexcept {
     return options_.enforce_epoch;
   }
-  /// Epoch counter cell, registered with dearcheck so CollectiveGuard can
-  /// stamp begin/end epochs without a comm-layer dependency.
-  [[nodiscard]] const std::atomic<std::uint32_t>* epoch_counter()
-      const noexcept {
-    return &epoch_;
-  }
 
   // ---- Introspection -----------------------------------------------------
 

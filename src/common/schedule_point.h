@@ -5,7 +5,7 @@
 // process-wide Hook at every point where the OS scheduler could make a
 // visible choice. With no hook installed (production, the default) every
 // call site reduces to a single relaxed-ish atomic load — the same pattern
-// as check::CollectiveGuard. The schedlab controller (src/schedlab)
+// as comm::CollectiveScope. The schedlab controller (src/schedlab)
 // installs a Hook that serializes all registered worker threads onto a
 // controller-chosen total order, which is what makes schedule fuzzing
 // deterministic and replayable from a seed.

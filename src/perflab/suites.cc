@@ -319,8 +319,8 @@ void MeasureFlightRecorder(SuiteBuilder& b, int repeats) {
 }
 
 /// Wall-clock: cost of one monitored collective completion — the
-/// CalibrationMonitor::OnCollective hook the engine loop pays per
-/// collective when `doctor --backend runtime` or `profile --network`
+/// CalibrationMonitor::OnCollective hook a collective's scope pays per
+/// completion when `doctor --backend runtime` or `profile --network`
 /// arms it. Gated here against the checked-in baseline; the hard
 /// <1%-of-a-collective bar (with exact alloc counting) lives in
 /// bench/doctor_overhead.

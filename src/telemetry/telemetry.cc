@@ -3,11 +3,6 @@
 namespace dear::telemetry {
 namespace {
 
-// Nesting depth of CollectiveTimer per thread; only depth 0 records, so
-// composite collectives (all-reduce = RS + AG) count once under their own
-// name instead of three times.
-thread_local int g_collective_depth = 0;
-
 // Latency buckets: 100 ns .. ~55 s geometric; payload buckets: 64 B .. 4 GB.
 std::vector<double> SecondsEdges() {
   return Histogram::ExponentialEdges(1e-7, 2.0, 30);
@@ -177,21 +172,6 @@ ScopedSpan::~ScopedSpan() {
   event.start = start_;
   event.duration = rt.NowNs() - start_;
   rt.trace().Record(std::move(event));
-}
-
-CollectiveTimer::CollectiveTimer(int rank, const char* kind,
-                                 std::size_t elems) noexcept
-    : active_(g_collective_depth++ == 0 && Runtime::Get().enabled()),
-      rank_(rank),
-      kind_(kind),
-      elems_(elems) {
-  if (active_) start_ = Runtime::Get().NowNs();
-}
-
-CollectiveTimer::~CollectiveTimer() {
-  --g_collective_depth;
-  if (!active_) return;
-  OnCollective(rank_, kind_, elems_, start_, Runtime::Get().NowNs());
 }
 
 }  // namespace dear::telemetry

@@ -173,22 +173,4 @@ class ScopedSpan {
   SimTime start_{0};
 };
 
-/// RAII guard timing one top-level collective on the calling thread.
-/// Nested collectives (e.g. the reduce-scatter inside RingAllReduce) are
-/// not double-counted: only the outermost guard on a thread records.
-class CollectiveTimer {
- public:
-  CollectiveTimer(int rank, const char* kind, std::size_t elems) noexcept;
-  ~CollectiveTimer();
-  CollectiveTimer(const CollectiveTimer&) = delete;
-  CollectiveTimer& operator=(const CollectiveTimer&) = delete;
-
- private:
-  bool active_;
-  int rank_;
-  const char* kind_;
-  std::size_t elems_;
-  SimTime start_{0};
-};
-
 }  // namespace dear::telemetry

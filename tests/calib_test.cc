@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "comm/async.h"
 #include "comm/calibration.h"
 #include "comm/cost_model.h"
+#include "comm/transport.h"
 #include "common/rng.h"
 #include "flightrec/journal.h"
 #include "flightrec/recorder.h"
@@ -332,6 +337,169 @@ TEST(CalibrationMonitorTest, ExportsResidualMetricsWhenTelemetryLive) {
   EXPECT_NE(prom.find("dear_comm_model_divergence_all_gather"),
             std::string::npos);
   rt.Disable();
+}
+
+// ---- Samples from the engine's collectives ------------------------------
+
+using Submit = std::function<comm::CollectiveHandle(comm::CommEngine&,
+                                                    std::span<float>)>;
+
+/// Submits once on every rank's engine over `hub` and returns each
+/// collective's status.
+std::vector<Status> RunOnEngines(comm::TransportHub& hub, std::size_t elems,
+                                 const Submit& submit) {
+  const int world = hub.size();
+  std::vector<std::unique_ptr<comm::CommEngine>> engines;
+  std::vector<std::vector<float>> buffers(
+      static_cast<std::size_t>(world), std::vector<float>(elems, 1.0f));
+  std::vector<comm::CollectiveHandle> handles;
+  for (int r = 0; r < world; ++r) {
+    engines.push_back(
+        std::make_unique<comm::CommEngine>(comm::Communicator(&hub, r)));
+    handles.push_back(
+        submit(*engines.back(), buffers[static_cast<std::size_t>(r)]));
+  }
+  std::vector<Status> statuses;
+  for (auto& h : handles) statuses.push_back(h.Wait());
+  return statuses;
+}
+
+std::size_t ResidualCount(int rank, CollectiveShape shape) {
+  const std::string name =
+      std::string("comm.model.residual.") + ShapeName(shape);
+  for (const auto& [n, h] :
+       telemetry::Runtime::Get().rank_metrics(rank)->Histograms()) {
+    if (n == name) return h.count();
+  }
+  return 0;
+}
+
+// With the monitor armed, each engine Submit* feeds exactly one sample per
+// rank, of the shape its request kind describes, priced at the request's
+// wire bytes (elems × DTypeSize(dtype): fp16 halves them). The byte count
+// is pinned exactly: a bystander rank no engine runs on feeds the same
+// shape at the expected count, and the calibrator reports "no payload-size
+// spread" only if every engine sample carried that count too.
+TEST(CalibrationMonitorTest, EngineSubmitFeedsOneSamplePerRank) {
+  constexpr int kWorld = 2;
+  constexpr int kBystander = kWorld;
+  constexpr std::size_t kElems = 256;
+  using comm::CommEngine;
+  using comm::DType;
+  using comm::ReduceOp;
+  struct Case {
+    const char* what;
+    CollectiveShape shape;
+    std::size_t bytes;
+    Submit submit;
+  };
+  const std::vector<Case> cases = {
+      {"rs f32", CollectiveShape::kReduceScatter, kElems * 4,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitReduceScatter(b);
+       }},
+      {"rs f16", CollectiveShape::kReduceScatter, kElems * 2,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitReduceScatter(b, ReduceOp::kSum, DType::kF16);
+       }},
+      {"ag f32", CollectiveShape::kAllGather, kElems * 4,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitAllGather(b);
+       }},
+      {"ag bf16", CollectiveShape::kAllGather, kElems * 2,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitAllGather(b, DType::kBF16);
+       }},
+      {"ar f32", CollectiveShape::kRingAllReduce, kElems * 4,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitAllReduce(b);
+       }},
+      {"ar f16", CollectiveShape::kRingAllReduce, kElems * 2,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitAllReduce(b, ReduceOp::kAvg, DType::kF16);
+       }},
+      {"broadcast", CollectiveShape::kTreeBroadcast, kElems * 4,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitBroadcast(b, /*root=*/1);
+       }},
+      {"recursive rs", CollectiveShape::kRecursiveHalvingReduceScatter,
+       kElems * 4,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitRecursiveHalvingReduceScatter(b);
+       }},
+      {"recursive ag f16", CollectiveShape::kRecursiveDoublingAllGather,
+       kElems * 2,
+       [](CommEngine& e, std::span<float> b) {
+         return e.SubmitRecursiveDoublingAllGather(b, DType::kF16);
+       }},
+      {"barrier", CollectiveShape::kBarrier, 0,
+       [](CommEngine& e, std::span<float>) { return e.SubmitBarrier(); }},
+  };
+  auto& rt = telemetry::Runtime::Get();
+  auto& monitor = comm::CalibrationMonitor::Get();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    // Telemetry first: per-rank residual histograms count each rank's
+    // samples.
+    rt.Enable(kWorld + 1);
+    monitor.Enable(comm::NetworkModel::TenGbE(), kWorld + 1);
+    {
+      comm::TransportHub hub(kWorld);
+      for (const Status& st : RunOnEngines(hub, kElems, c.submit))
+        EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    monitor.OnCollective(kBystander, c.shape, c.bytes, 1000);
+    monitor.OnCollective(kBystander, c.shape, c.bytes, 2000);
+    monitor.Disable();
+    rt.Disable();
+
+    for (int r = 0; r < kWorld; ++r)
+      EXPECT_EQ(ResidualCount(r, c.shape), 1u) << "rank " << r;
+    const auto stats = monitor.Stats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].shape, c.shape);
+    EXPECT_EQ(stats[0].samples, static_cast<std::uint64_t>(kWorld + 2));
+    const auto fits = monitor.calibrator().FitAll();
+    ASSERT_EQ(fits.size(), 1u);
+    EXPECT_STREQ(fits[0].why, "insufficient data: no payload-size spread");
+  }
+}
+
+// The hierarchical pair has no single α–β line, and a collective that
+// fails (here: under a shut-down hub) measured nothing: neither feeds the
+// monitor.
+TEST(CalibrationMonitorTest, HierarchicalAndFailedCollectivesFeedNothing) {
+  constexpr int kWorld = 2;
+  auto& monitor = comm::CalibrationMonitor::Get();
+  monitor.Enable(comm::NetworkModel::TenGbE(), kWorld);
+  {
+    comm::TransportHub hub(kWorld);
+    const auto statuses =
+        RunOnEngines(hub, 64, [](comm::CommEngine& e, std::span<float> b) {
+          return e.SubmitHierarchicalReduceScatter(b, /*ranks_per_node=*/2);
+        });
+    for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  {
+    comm::TransportHub hub(kWorld);
+    const auto statuses =
+        RunOnEngines(hub, 64, [](comm::CommEngine& e, std::span<float> b) {
+          return e.SubmitHierarchicalAllGather(b, /*ranks_per_node=*/1);
+        });
+    for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  {
+    comm::TransportHub hub(kWorld);
+    hub.Shutdown();
+    const auto statuses =
+        RunOnEngines(hub, 64, [](comm::CommEngine& e, std::span<float> b) {
+          return e.SubmitAllReduce(b);
+        });
+    for (const Status& st : statuses) EXPECT_FALSE(st.ok());
+  }
+  monitor.Disable();
+  EXPECT_TRUE(monitor.Stats().empty());
+  EXPECT_EQ(monitor.calibrator().total_samples(), 0u);
 }
 
 }  // namespace

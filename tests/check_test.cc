@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "comm/async.h"
+#include "comm/collective_scope.h"
 #include "comm/collectives.h"
 #include "comm/communicator.h"
 #include "comm/transport.h"
@@ -63,7 +64,9 @@ TEST(CheckerTest, DisabledHooksAreNoOps) {
   auto& checker = Checker::Get();
   ASSERT_FALSE(checker.enabled());
   {
-    CollectiveGuard guard(0, "ring_all_reduce", 64);
+    TransportHub hub(2);
+    const Communicator comm(&hub, 0);
+    comm::CollectiveScope scope(comm, comm::kinds::kRingAllReduce, 64);
     ScopedRecvWait wait(0, 1, 42);
   }
   EXPECT_FALSE(checker.tripped());

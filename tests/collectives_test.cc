@@ -15,9 +15,12 @@
 #include <vector>
 
 #include "check/checker.h"
+#include "comm/calibration.h"
 #include "comm/worker_group.h"
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "flightrec/recorder.h"
+#include "telemetry/telemetry.h"
 
 #include "test_env.h"
 
@@ -746,6 +749,113 @@ TEST(CollectivesTest, NamesAreHuman) {
   EXPECT_EQ(AlgorithmName(Algorithm::kDoubleBinaryTree),
             "double-binary-tree");
   EXPECT_EQ(ReduceOpName(ReduceOp::kAvg), "avg");
+}
+
+// ---- One observer bracket per collective ---------------------------------
+
+/// Interned names of rank's flight-recorder records of `kind`.
+std::vector<std::string> FlightNames(int rank, flightrec::EventKind kind) {
+  const auto& recorder = flightrec::Recorder::Get();
+  const auto snapshots = recorder.SnapshotAll();
+  std::vector<std::string> names;
+  for (const auto& rec : snapshots[static_cast<std::size_t>(rank)]) {
+    if (static_cast<flightrec::EventKind>(rec.kind) == kind)
+      names.emplace_back(
+          recorder.InternedName(static_cast<std::uint16_t>(rec.tag)));
+  }
+  return names;
+}
+
+Histogram TelemetryHistogram(int rank, const std::string& name) {
+  for (const auto& [n, h] :
+       telemetry::Runtime::Get().rank_metrics(rank)->Histograms()) {
+    if (n == name) return h;
+  }
+  ADD_FAILURE() << "no histogram " << name << " on rank " << rank;
+  return Histogram{};
+}
+
+// RingAllReduce runs a reduce-scatter and an all-gather inside, yet every
+// observer sees one protocol-level operation: one telemetry call, one
+// checker ledger entry, one flight-recorder begin/end pair and one
+// calibration sample per rank.
+TEST(CollectiveScopeTest, RingAllReduceRecordsOnceInEveryObserver) {
+  constexpr int kWorld = 2;
+  auto& rt = telemetry::Runtime::Get();
+  auto& checker = check::Checker::Get();
+  auto& monitor = CalibrationMonitor::Get();
+  flightrec::Recorder::Get().Reset();
+  rt.Enable(kWorld);
+  check::CheckerOptions copts;
+  copts.watchdog_timeout_s = 0.0;
+  checker.Enable(kWorld, copts);
+  monitor.Enable(NetworkModel::TenGbE(), kWorld);
+  RunOnRanks(kWorld, [](Communicator& comm) {
+    std::vector<float> data(64, 1.0f);
+    EXPECT_TRUE(RingAllReduce(comm, data).ok());
+  });
+  monitor.Disable();
+  EXPECT_FALSE(checker.tripped()) << checker.report();
+  EXPECT_EQ(checker.verified_ops(), 1);
+  for (int r = 0; r < kWorld; ++r) EXPECT_EQ(checker.ledger_size(r), 1);
+  checker.Disable();
+  rt.Disable();
+
+  for (int r = 0; r < kWorld; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    auto* reg = rt.rank_metrics(r);
+    EXPECT_EQ(reg->GetCounter("comm.all_reduce.calls").value(), 1);
+    EXPECT_EQ(reg->GetCounter("comm.reduce_scatter.calls").value(), 0);
+    EXPECT_EQ(reg->GetCounter("comm.all_gather.calls").value(), 0);
+    const std::vector<std::string> one{"ring_all_reduce"};
+    EXPECT_EQ(FlightNames(r, flightrec::EventKind::kCollectiveBegin), one);
+    EXPECT_EQ(FlightNames(r, flightrec::EventKind::kCollectiveEnd), one);
+  }
+  const auto stats = monitor.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].shape, analysis::CollectiveShape::kRingAllReduce);
+  EXPECT_EQ(stats[0].samples, static_cast<std::uint64_t>(kWorld));
+}
+
+// Only Scatter's root holds the payload, so ranks pass different input
+// sizes. Telemetry records each caller's count; the checker ledger, which
+// matches sizes across ranks, and the flight recorder record 0.
+TEST(CollectiveScopeTest, ScatterRecordsCallerCountOnlyInTelemetry) {
+  constexpr int kWorld = 2;
+  constexpr std::size_t kN = 8;
+  auto& rt = telemetry::Runtime::Get();
+  auto& checker = check::Checker::Get();
+  flightrec::Recorder::Get().Reset();
+  rt.Enable(kWorld);
+  check::CheckerOptions copts;
+  copts.watchdog_timeout_s = 0.0;
+  checker.Enable(kWorld, copts);
+  RunOnRanks(kWorld, [](Communicator& comm) {
+    const std::vector<float> in(comm.rank() == 0 ? kN : 0, 1.0f);
+    std::vector<float> out;
+    EXPECT_TRUE(Scatter(comm, in, &out, /*root=*/0).ok());
+  });
+  EXPECT_FALSE(checker.tripped()) << checker.report();
+  EXPECT_EQ(checker.verified_ops(), 1);
+  checker.Disable();
+  rt.Disable();
+
+  for (int r = 0; r < kWorld; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const Histogram bytes = TelemetryHistogram(r, "comm.scatter.bytes");
+    EXPECT_EQ(bytes.count(), 1u);
+    EXPECT_EQ(bytes.sum(), r == 0 ? kN * sizeof(float) : 0.0);
+    std::size_t begins = 0;
+    const auto snapshots = flightrec::Recorder::Get().SnapshotAll();
+    for (const auto& rec : snapshots[static_cast<std::size_t>(r)]) {
+      if (static_cast<flightrec::EventKind>(rec.kind) !=
+          flightrec::EventKind::kCollectiveBegin)
+        continue;
+      ++begins;
+      EXPECT_EQ(rec.payload, 0u);
+    }
+    EXPECT_EQ(begins, 1u);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "check/checker.h"
+#include "comm/collective_scope.h"
 #include "comm/membership.h"
 #include "comm/transport.h"
 #include "comm/types.h"
@@ -292,7 +293,10 @@ TEST_F(CheckerEpochMachine, CrossEpochOpWithoutQuiesceTrips) {
   std::atomic<std::uint32_t> epoch{0};
   checker().SetEpochCounter(&epoch);
   {
-    dear::check::CollectiveGuard guard(/*rank=*/0, "all_reduce", 16);
+    dear::comm::TransportHub hub(2);
+    const dear::comm::Communicator comm(&hub, /*rank=*/0);
+    dear::comm::CollectiveScope scope(
+        comm, dear::comm::kinds::kRingAllReduce, 16);
     epoch.store(1, std::memory_order_release);
     // No kTrip transition logged in (0, 1]: the op genuinely spanned an
     // un-quiesced boundary.
@@ -304,7 +308,10 @@ TEST_F(CheckerEpochMachine, CrossEpochOpExcusedByQuiesce) {
   std::atomic<std::uint32_t> epoch{0};
   checker().SetEpochCounter(&epoch);
   {
-    dear::check::CollectiveGuard guard(/*rank=*/0, "all_reduce", 16);
+    dear::comm::TransportHub hub(2);
+    const dear::comm::Communicator comm(&hub, /*rank=*/0);
+    dear::comm::CollectiveScope scope(
+        comm, dear::comm::kinds::kRingAllReduce, 16);
     epoch.store(1, std::memory_order_release);
     checker().OnEpochTransition(1, /*kind=kTrip*/ 2, -1, 0b11);
   }

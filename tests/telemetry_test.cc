@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "analysis/timeline.h"
+#include "comm/collective_scope.h"
+#include "comm/transport.h"
 #include "core/trainer.h"
 #include "train/data.h"
 
@@ -252,12 +254,15 @@ TEST(TelemetryRuntimeTest, RankOutOfRangeIsSafe) {
   rt.Disable();
 }
 
-TEST(TelemetryRuntimeTest, NestedCollectiveTimersCountOnce) {
+TEST(TelemetryRuntimeTest, NestedCollectiveScopesCountOnce) {
   auto& rt = Runtime::Get();
   rt.Enable(1);
   {
-    CollectiveTimer outer(0, "all_reduce", 64);
-    CollectiveTimer inner(0, "reduce_scatter", 64);  // nested: suppressed
+    comm::TransportHub hub(1);
+    const comm::Communicator comm(&hub, 0);
+    comm::CollectiveScope outer(comm, comm::kinds::kRingAllReduce, 64);
+    // Nested: suppressed.
+    comm::CollectiveScope inner(comm, comm::kinds::kRingReduceScatter, 64);
   }
   rt.Disable();
   auto* reg = rt.rank_metrics(0);

@@ -40,7 +40,8 @@ python3 tools/lint.py --selftest
 python3 tools/lint.py
 
 echo "== plain build =="
-cmake -B build -S . >/dev/null
+# Warnings fail the plain build; sanitizer builds keep them advisory.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$jobs" >/dev/null
 if [[ "$quick" == 1 ]]; then
   ctest --test-dir build --output-on-failure -L unit
